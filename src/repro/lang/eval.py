@@ -400,6 +400,12 @@ class Interpreter:
     see one persistent extent while keeping their bindings private.
     ``session_id`` labels this interpreter in multi-session observability
     (per-session journal tags, the server's ``stat`` frames).
+
+    ``parse_cache`` is ``None`` here, so :meth:`parse` calls
+    :func:`~repro.lang.parser.parse_program`; a server session sets it
+    to its broker's :class:`~repro.server.broker.ParseCache`, shared by
+    all sessions.  Only parsing is shared — each run is still checked
+    against this interpreter's own bindings.
     """
 
     def __init__(
@@ -411,6 +417,7 @@ class Interpreter:
     ):
         self.output: List[str] = []
         self.session_id = session_id
+        self.parse_cache = None
         self._check_env = CheckEnv.initial()
         self._globals = Env()
         self._store: Optional[LogStore] = (
@@ -456,11 +463,17 @@ class Interpreter:
                 return self._run(source)
         return self._run(source)
 
+    def parse(self, source: str) -> ast.Program:
+        """``source`` parsed, through :attr:`parse_cache` when one is set."""
+        if self.parse_cache is None:
+            return parse_program(source)
+        return self.parse_cache.parse(source)
+
     def _run(self, source: str) -> RunResult:
         _metrics.REGISTRY.counter("lang.runs").inc()
         tracer = _trace.CURRENT
         if not tracer.enabled:
-            program = parse_program(source)
+            program = self.parse(source)
             last_type, __ = check_program(program, self._check_env)
             value: object = None
             for decl in program.declarations:
@@ -468,7 +481,7 @@ class Interpreter:
             return RunResult(value, last_type, list(self.output))
         with tracer.span("lang.run") as run_span:
             with tracer.span("lang.parse"):
-                program = parse_program(source)
+                program = self.parse(source)
             with tracer.span("lang.check"):
                 last_type, __ = check_program(program, self._check_env)
             with tracer.span("lang.eval"):

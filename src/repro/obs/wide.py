@@ -14,11 +14,13 @@ Sessions keep their wide events in a bounded :class:`RequestLog` ring,
 browsable at the REPL via ``:requests [n]`` (local or remote — the
 record is plain data and travels in ``obs`` frames).
 
-Counter deltas are attributable to a single request because queries
-serialize: the server broker executes every query on one worker
-thread, and the local REPL is single-threaded.  Under future
-concurrent execution the deltas would become "counters that moved
-while this request ran" — still useful, no longer exclusive.
+Counter deltas are before/after diffs of the process-global registry,
+so they are exact only while one request runs at a time: the local
+REPL, and a server request run inline on its event loop (which the
+server does only while its worker pool is idle).  Requests that
+overlap on the broker's worker pool each see "counters that moved
+while this request ran", which may include a concurrent session's
+work — still useful, no longer exclusive.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ store, one :class:`~repro.server.session.Session` per connection:
   transient extents, table statistics) against the shared store, and
   the backend abstraction the REPL drives locally or remotely;
 * :mod:`repro.server.broker`   — the :class:`SessionBroker`:
-  connection limit, bounded accept queue, the single-writer executor;
+  connection limit, bounded accept queue, the worker pool, and the
+  parse cache every session shares;
 * :mod:`repro.server.server`   — :class:`DBPLServer` (asyncio accept
   loop, idle timeout, graceful drain) and :class:`ServerThread` for
   embedding a server in tests, benchmarks, and examples;

@@ -11,22 +11,32 @@ done natively.  The broker owns three shared things:
   a bounded FIFO accept queue of ``queue_limit`` waiters — one past
   that is rejected immediately (``server.connections.rejected``), so a
   stampede degrades into fast bounces instead of unbounded queueing;
-* the **executor**: a pool of ``workers`` threads through which the
-  server funnels every ``run``/``stat`` — off the event loop, so the
-  loop stays free to accept, time out idle sessions, and answer
-  handshakes while long queries run.  Sessions genuinely run
-  concurrently; store consistency comes from the broker's shared
+* the **executor**: a pool of ``workers`` threads for the requests
+  the server does not run inline on its event loop — anything that
+  can fsync, anything slow, and anything arriving while another
+  request is on the pool (see :meth:`DBPLServer._serve_session
+  <repro.server.server.DBPLServer._serve_session>`).  Off the loop,
+  long queries leave it free to accept, time out idle sessions, and
+  answer handshakes, and sessions genuinely run concurrently.
+  :meth:`SessionBroker.run_pooled` submits work and keeps the
+  ``in_flight`` count the server's routing reads; store consistency
+  comes from the broker's shared
   :class:`~repro.persistence.mvcc.TransactionManager`, which gives
   every session snapshot-isolated ``extern``/``intern`` (MVCC with
   first-committer-wins commits — see TRANSACTIONS.md) and serializes
   the actual store writes;
 * the **transaction manager** itself: one per broker, handed to every
   session's interpreter, so their snapshots and conflict checks see
-  each other.
+  each other;
+* the **parse cache**: one :class:`ParseCache` shared by every
+  session's interpreter, so a source text sent again — by any session
+  — skips the parser.  Checking still runs per request, against the
+  sending session's bindings.
 
 Gauges ``server.sessions.active`` / ``server.sessions.limit`` /
 ``server.workers`` and the accepted/rejected counters feed the
-``server.sessions`` health probe.
+``server.sessions`` health probe; ``server.parse_cache.hits`` /
+``.misses`` / ``.entries`` watch the cache.
 """
 
 from __future__ import annotations
@@ -35,16 +45,24 @@ import asyncio
 import itertools
 import os
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, List, Optional
 
 from repro.errors import BrokerBusyError, SessionClosedError
+from repro.lang import ast as _ast
+from repro.lang import eval as _eval
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.persistence.mvcc import TransactionManager
 from repro.persistence.store import LogStore
 from repro.server.session import Session
+
+# Parsed programs the broker's cache keeps.  The bound keeps memory
+# flat when texts never repeat (an ``extern`` of fresh data is a new
+# text each time); 512 entries cost about 1 MB of server memory.
+PARSE_CACHE_SIZE = 512
+
 
 def default_workers() -> int:
     """The default worker-pool size: enough threads that read-only
@@ -52,7 +70,46 @@ def default_workers() -> int:
     fsync), without oversubscribing small machines."""
     return min(8, max(2, os.cpu_count() or 2))
 
-__all__ = ["SessionBroker"]
+__all__ = ["SessionBroker", "ParseCache", "PARSE_CACHE_SIZE"]
+
+
+class ParseCache:
+    """A thread-safe LRU from DBPL source text to its parsed program.
+
+    Sharing entries across sessions is sound because parsing reads no
+    session state and the :mod:`repro.lang.ast` nodes are frozen.
+    Parse errors propagate and are never cached, so a bad text is
+    re-parsed (and re-reported) on every send.  A miss calls
+    ``parse_program`` through :mod:`repro.lang.eval`, the same binding
+    an :class:`~repro.lang.eval.Interpreter` without a cache uses.
+    """
+
+    def __init__(self):
+        self._entries: "OrderedDict[str, _ast.Program]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def parse(self, source: str) -> _ast.Program:
+        """The parsed ``source``, from the cache when it was seen."""
+        with self._lock:
+            program = self._entries.get(source)
+            if program is not None:
+                self._entries.move_to_end(source)
+        registry = _metrics.REGISTRY
+        if program is not None:
+            registry.counter("server.parse_cache.hits").inc()
+            return program
+        registry.counter("server.parse_cache.misses").inc()
+        program = _eval.parse_program(source)
+        with self._lock:
+            self._entries[source] = program
+            if len(self._entries) > PARSE_CACHE_SIZE:
+                self._entries.popitem(last=False)
+            entries = len(self._entries)
+        registry.gauge("server.parse_cache.entries").set(float(entries))
+        return program
 
 
 class SessionBroker:
@@ -98,6 +155,7 @@ class SessionBroker:
         self.txns = TransactionManager(
             store=self._store, memory=self._memory_store
         )
+        self.parse_cache = ParseCache()
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._active: Dict[str, Session] = {}
@@ -111,9 +169,22 @@ class SessionBroker:
         self.executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="dbpl-session"
         )
-        _metrics.REGISTRY.gauge("server.sessions.limit").set(float(limit))
-        _metrics.REGISTRY.gauge("server.sessions.active").set(0.0)
-        _metrics.REGISTRY.gauge("server.workers").set(float(self.workers))
+        # Requests submitted to the pool and not yet answered.  Only the
+        # event loop's thread touches it (run_pooled), so it needs no
+        # lock; the server runs a request inline only while it is 0.
+        self.in_flight = 0
+        registry = _metrics.REGISTRY
+        registry.gauge("server.sessions.limit").set(float(limit))
+        registry.gauge("server.sessions.active").set(0.0)
+        registry.gauge("server.workers").set(float(self.workers))
+        registry.gauge("server.parse_cache.entries").set(0.0)
+        for name in (
+            "server.dispatch.inline",
+            "server.dispatch.pooled",
+            "server.parse_cache.hits",
+            "server.parse_cache.misses",
+        ):
+            registry.counter(name)  # listed in :stats from the start
 
     @property
     def store(self) -> Optional[LogStore]:
@@ -130,6 +201,19 @@ class SessionBroker:
     def queued(self) -> int:
         """Connections waiting for a slot."""
         return len(self._waiters)
+
+    async def run_pooled(self, fn, *args):
+        """``fn(*args)`` on the worker pool, counted in :attr:`in_flight`.
+
+        Call from the event loop's thread only.
+        """
+        self.in_flight += 1
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self.executor, fn, *args
+            )
+        finally:
+            self.in_flight -= 1
 
     # -- admission ----------------------------------------------------------
 

@@ -9,11 +9,13 @@
 2. **admission** — :class:`~repro.server.broker.SessionBroker` grants a
    slot, queues the connection, or bounces it with a ``busy`` error;
 3. **request loop** — ``run``, ``stat``, ``obs``, and the transaction
-   frames ``begin``/``commit``/``abort`` execute on the broker's
-   worker pool (the event loop never blocks on a query; sessions run
-   concurrently under MVCC snapshot isolation — see TRANSACTIONS.md)
-   and are answered with ``result``/``stat``/``obs``/``txn``/``error``
-   frames;
+   frames ``begin``/``commit``/``abort`` are answered with
+   ``result``/``stat``/``obs``/``txn``/``error`` frames.  A short
+   request that cannot fsync runs inline on the event loop while the
+   broker's worker pool is idle; everything else runs on the pool, so
+   sessions still run concurrently under MVCC snapshot isolation (see
+   TRANSACTIONS.md) and no fsync ever blocks the loop (the rule is
+   spelled out in :meth:`DBPLServer._serve_session`);
    protocol violations get an ``error`` frame where the stream is
    still trustworthy, and the connection is dropped where it is not
    (oversized or truncated frames);
@@ -32,10 +34,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import sys
 import threading
 import time
-from functools import partial
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import (
     BrokerBusyError,
@@ -56,15 +58,26 @@ __all__ = ["DBPLServer", "ServerThread", "main"]
 SERVER_NAME = "repro-server/3"
 
 
-class _Connection:
-    """Per-connection bookkeeping the drain logic needs."""
+# Frames that never write to the store.  A ``run`` that may call
+# ``extern`` outside a transaction autocommits (one fsync), so it is
+# checked separately; ``stat`` and ``obs`` always take the pool.
+_NO_FSYNC_FRAMES = frozenset({"run", "begin", "abort"})
 
-    __slots__ = ("writer", "busy", "session")
+
+class _Connection:
+    """Per-connection bookkeeping for the drain logic and the routing."""
+
+    __slots__ = ("writer", "busy", "session", "last_seconds", "may_extern")
 
     def __init__(self, writer):
         self.writer = writer
         self.busy = False
         self.session: Optional[Session] = None
+        # How long the session's previous request ran (None before its
+        # first), and whether any evaluated source has mentioned
+        # ``extern`` — after that a binding may call it under any name.
+        self.last_seconds: Optional[float] = None
+        self.may_extern = False
 
 
 class DBPLServer:
@@ -264,7 +277,27 @@ class DBPLServer:
         return session
 
     async def _serve_session(self, reader, writer, connection, session) -> None:
-        loop = asyncio.get_running_loop()
+        """Answer one session's frames until ``bye``, idle, or shutdown.
+
+        A request runs **inline** on the event loop when all of these
+        hold, and on the broker's worker pool otherwise:
+
+        1. nothing is in flight on the pool (``broker.in_flight``), so
+           an inline request never delays another session's reply and
+           concurrent sessions keep overlapping on the pool;
+        2. the session's previous request ran for less than
+           :func:`sys.getswitchinterval` — the GIL's time slice, so an
+           inline request holds the loop about as long as a pooled one
+           would have held the GIL anyway.  A first request has no
+           previous one and takes the pool;
+        3. the frame cannot fsync: ``begin``, ``abort``, or a ``run``
+           that cannot autocommit an ``extern`` (see
+           :meth:`_runs_inline`).
+
+        Inline, a short request skips two thread hand-offs (the submit
+        to a worker and the worker waking the loop with the reply),
+        which on small requests cost more than the evaluation.
+        """
         while True:
             try:
                 if self.idle_timeout is not None:
@@ -306,24 +339,63 @@ class DBPLServer:
                     ),
                 )
                 continue
-            connection.busy = True
-            try:
-                reply = await loop.run_in_executor(
-                    self.broker.executor,
-                    partial(self._dispatch, session, message),
+            if self._runs_inline(connection, session, message):
+                _metrics.REGISTRY.counter("server.dispatch.inline").inc()
+                reply, connection.last_seconds = self._timed_dispatch(
+                    session, message
                 )
-            finally:
-                connection.busy = False
+            else:
+                _metrics.REGISTRY.counter("server.dispatch.pooled").inc()
+                connection.busy = True
+                try:
+                    reply, connection.last_seconds = (
+                        await self.broker.run_pooled(
+                            self._timed_dispatch, session, message
+                        )
+                    )
+                finally:
+                    connection.busy = False
             if not await self._send_frame(writer, reply):
                 return  # client disconnected mid-query; reply undeliverable
             if self._draining:
                 await self._say_bye(writer, "shutdown")
                 return
 
+    def _runs_inline(
+        self, connection: _Connection, session: Session, message: Dict[str, object]
+    ) -> bool:
+        """The routing rule of :meth:`_serve_session` for ``message``."""
+        frame_type = message["type"]
+        if frame_type not in _NO_FSYNC_FRAMES:
+            return False
+        if frame_type == "run" and message.get("mode", "eval") == "eval":
+            source = message.get("source")
+            if isinstance(source, str) and "extern" in source:
+                connection.may_extern = True
+            # Inside a transaction an extern only buffers; outside one it
+            # autocommits.  Textual and sticky, so it errs towards the
+            # pool: a false positive costs only the hop.
+            if connection.may_extern and session.interpreter.transaction is None:
+                return False
+        last = connection.last_seconds
+        return (
+            self.broker.in_flight == 0
+            and last is not None
+            and last < sys.getswitchinterval()
+        )
+
+    def _timed_dispatch(
+        self, session: Session, message: Dict[str, object]
+    ) -> Tuple[Dict[str, object], float]:
+        """:meth:`_dispatch` plus how long it ran, in seconds."""
+        started = time.perf_counter()
+        reply = self._dispatch(session, message)
+        return reply, time.perf_counter() - started
+
     def _dispatch(
         self, session: Session, message: Dict[str, object]
     ) -> Dict[str, object]:
-        """Execute one request on the broker's worker thread."""
+        """Execute one request (inline on the loop or on a worker)."""
         frame_id = message.get("id")
         _metrics.REGISTRY.counter("server.requests").inc()
         with _metrics.REGISTRY.histogram("server.request.seconds").time():

@@ -131,6 +131,9 @@ class Session:
             memory_store=memory_store,
             txn_manager=txn_manager,
         )
+        # A served session parses through its broker's shared cache;
+        # a local (REPL) session keeps calling the parser directly.
+        self._interp.parse_cache = getattr(broker, "parse_cache", None)
         self._table_stats: Dict[str, TableStats] = {}
 
     # -- lifecycle ----------------------------------------------------------
@@ -209,7 +212,7 @@ class Session:
                 reply = {"value": self._run_type(source), "output": []}
             elif mode == "ast":
                 reply = {
-                    "value": pretty_program(parse_program(source)),
+                    "value": pretty_program(self._interp.parse(source)),
                     "output": [],
                 }
             else:
@@ -319,16 +322,23 @@ class Session:
             )
 
     def _run_eval(self, source: str) -> Dict[str, object]:
-        before = len(self._interp.output)
-        result = self._interp.run(source)
-        output = list(self._interp.output[before:])
+        buffer = self._interp.output
+        before = len(buffer)
+        try:
+            result = self._interp.run(source)
+            output = buffer[before:]
+        finally:
+            # Each reply carries its own lines; emptying the buffer keeps
+            # a long-lived session from growing it (and from copying all
+            # of it into every RunResult) for its whole life.
+            buffer.clear()
         value = (
             format_value(result.value) if result.value is not None else None
         )
         return {"value": value, "output": output}
 
     def _run_type(self, source: str) -> str:
-        program = parse_program(source)
+        program = self._interp.parse(source)
         # Check against a *copy* of the session env: a type query must
         # not commit declarations.
         env = CheckEnv(

@@ -123,6 +123,14 @@ class TestRemoteObservability:
         instance.handle("1 + 1")
         instance.handle(":stats")
         assert "server.requests" in lines[-1]
+        for name in (
+            "server.dispatch.inline",
+            "server.dispatch.pooled",
+            "server.parse_cache.hits",
+            "server.parse_cache.misses",
+            "server.parse_cache.entries",
+        ):
+            assert name in lines[-1]
 
     def test_sessions_lists_remote_peers(self, repl):
         instance, lines = connect(repl)

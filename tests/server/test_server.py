@@ -7,6 +7,7 @@ the deliberately malformed traffic a Client refuses to send).
 
 import socket
 import struct
+import sys
 import threading
 import time
 from collections import deque
@@ -189,6 +190,135 @@ class TestDispatch:
         assert REGISTRY.counter("server.requests").value >= 2
         histogram = REGISTRY.histogram("server.request.seconds")
         assert histogram.count >= 2
+        # Every request is routed one way or the other, and the first
+        # run's text went through the broker's parse cache.
+        counters = REGISTRY.counters()
+        assert (
+            counters["server.dispatch.inline"]
+            + counters["server.dispatch.pooled"]
+            == REGISTRY.counter("server.requests").value
+        )
+        assert counters["server.parse_cache.misses"] >= 1
+        assert "server.parse_cache.hits" in counters
+        assert REGISTRY.gauges()["server.parse_cache.entries"] >= 1.0
+
+
+LOOP_THREAD = "dbpl-server"  # ServerThread's event-loop thread
+POOL_PREFIX = "dbpl-session"  # the broker's worker threads
+
+
+def spy_factory(slow_source=None, delay=0.0, started=None):
+    """A session class that records the thread each request runs on.
+
+    Returns ``(factory, seen)``; ``seen`` collects ``(session, request,
+    thread name)`` per request, where ``request`` is the run's source or
+    the transaction frame's name.  A run of ``slow_source`` sleeps
+    ``delay`` seconds, setting the ``started`` event first.
+    """
+    seen = []
+
+    class Spy(Session):
+        def _note(self, request):
+            seen.append(
+                (self.session_id, request, threading.current_thread().name)
+            )
+
+        def run(self, source, mode="eval", **kwargs):
+            self._note(source)
+            if source == slow_source:
+                if started is not None:
+                    started.set()
+                time.sleep(delay)
+            return super().run(source, mode, **kwargs)
+
+        def begin(self):
+            self._note("begin")
+            return super().begin()
+
+        def commit(self):
+            self._note("commit")
+            return super().commit()
+
+    return Spy, seen
+
+
+def threads_of(seen, request):
+    return [thread for __, sent, thread in seen if sent == request]
+
+
+class TestRouting:
+    def test_repeated_short_run_executes_on_the_loop(self):
+        factory, seen = spy_factory()
+        with ServerThread(session_factory=factory) as server:
+            with Client(server.host, server.port) as client:
+                for __ in range(20):
+                    assert client.run("1 + 1")["value"] == "2"
+        threads = threads_of(seen, "1 + 1")
+        # A first request has no previous duration: it takes the pool.
+        assert threads[0].startswith(POOL_PREFIX)
+        assert LOOP_THREAD in threads[1:]
+        assert REGISTRY.counter("server.dispatch.inline").value >= 1
+
+    def test_commit_and_autocommit_extern_take_the_pool(self):
+        factory, seen = spy_factory()
+        autocommit = 'extern("k", dynamic 1)'
+        in_txn = 'extern("k", dynamic 2)'
+        with ServerThread(session_factory=factory) as server:
+            with Client(server.host, server.port) as client:
+                client.run("0")
+                for __ in range(10):
+                    client.run(autocommit)
+                    client.begin()
+                    client.run(in_txn)
+                    client.commit()
+        assert all(t.startswith(POOL_PREFIX) for t in threads_of(seen, autocommit))
+        assert all(t.startswith(POOL_PREFIX) for t in threads_of(seen, "commit"))
+        # Inside a transaction an extern only buffers: it may run inline.
+        assert LOOP_THREAD in threads_of(seen, in_txn)
+
+    def test_extern_reached_through_a_binding_takes_the_pool(self):
+        factory, seen = spy_factory()
+        with ServerThread(session_factory=factory) as server:
+            with Client(server.host, server.port) as client:
+                client.run("0")
+                client.run(
+                    'fun save(n: Int): Unit = extern("k", dynamic n)'
+                )
+                for __ in range(5):
+                    client.run("save(3)")
+                reply = client.run('coerce intern("k") to Int')
+                assert reply["value"] == "3"
+        # The call's text never says extern, but it autocommits one.
+        assert all(t.startswith(POOL_PREFIX) for t in threads_of(seen, "save(3)"))
+
+    def test_request_after_a_long_one_takes_the_pool(self):
+        factory, seen = spy_factory(
+            slow_source="0 + 0", delay=2 * sys.getswitchinterval()
+        )
+        with ServerThread(session_factory=factory) as server:
+            with Client(server.host, server.port) as client:
+                client.run("1")
+                client.run("0 + 0")
+                client.run("2 + 2")
+        assert threads_of(seen, "2 + 2")[0].startswith(POOL_PREFIX)
+
+    def test_short_request_takes_the_pool_while_it_is_busy(self):
+        started = threading.Event()
+        factory, seen = spy_factory(slow_source="0 + 0", delay=0.5, started=started)
+        with ServerThread(session_factory=factory, workers=2) as server:
+            with Client(server.host, server.port) as slow, Client(
+                server.host, server.port
+            ) as quick:
+                for __ in range(3):
+                    quick.run("1 + 1")
+                # slow's first request takes the pool and stays there.
+                worker = threading.Thread(target=slow.run, args=("0 + 0",))
+                worker.start()
+                assert started.wait(5.0)
+                quick.run("3 + 3")
+                worker.join(5.0)
+        assert threads_of(seen, "0 + 0")[0].startswith(POOL_PREFIX)
+        assert threads_of(seen, "3 + 3")[0].startswith(POOL_PREFIX)
 
 
 class TestTracingOverTheWire:
@@ -430,3 +560,13 @@ class TestHealthOverTheWire:
                     name.startswith("server_requests")
                     for name in parsed["counters"]
                 )
+                for stem in (
+                    "server_dispatch_inline",
+                    "server_dispatch_pooled",
+                    "server_parse_cache_hits",
+                    "server_parse_cache_misses",
+                ):
+                    assert any(
+                        name.startswith(stem) for name in parsed["counters"]
+                    ), stem
+                assert "server_parse_cache_entries" in parsed["gauges"]

@@ -1,11 +1,17 @@
 """Sessions: run modes, the stat surface, and isolation over shared state."""
 
+import random
+import sys
+import threading
+
 import pytest
 
-from repro.errors import EvalError, SessionClosedError, TypeCheckError
+from repro.errors import EvalError, ParseError, SessionClosedError, TypeCheckError
+from repro.lang.parser import parse_program
 from repro.obs import events, monitor, slowlog, trace
-from repro.obs.metrics import reset_metrics
+from repro.obs.metrics import REGISTRY, reset_metrics
 from repro.persistence.store import LogStore
+from repro.server.broker import PARSE_CACHE_SIZE, ParseCache, SessionBroker
 from repro.server.session import OBS_KINDS, STAT_KINDS, Session
 
 
@@ -66,6 +72,147 @@ class TestRun:
     def test_errors_propagate(self):
         with pytest.raises(TypeCheckError):
             Session().run("1 + true")
+
+    def test_output_buffer_does_not_grow_with_the_session(self):
+        session = Session()
+        for n in range(2000):
+            reply = session.run("print(%d); print(%d); %d" % (n, -n, n))
+            assert reply["output"] == [str(n), str(-n)]
+            assert session.interpreter.output == []
+        # A failing run's lines are dropped with it, not left behind.
+        with pytest.raises(EvalError):
+            session.run('print(1); coerce dynamic 1 to String')
+        assert session.interpreter.output == []
+        assert session.run('print("a"); 0')["output"] == ['"a"']
+
+
+@pytest.fixture
+def broker():
+    broker = SessionBroker()
+    yield broker
+    broker.close()
+
+
+def misses():
+    return REGISTRY.value("server.parse_cache.misses")
+
+
+def hits():
+    return REGISTRY.value("server.parse_cache.hits")
+
+
+class TestParseCache:
+    def test_local_sessions_parse_directly(self):
+        assert Session().interpreter.parse_cache is None
+
+    def test_served_sessions_share_the_broker_cache(self, broker):
+        first, second = broker._open_session(), broker._open_session()
+        assert first.interpreter.parse_cache is broker.parse_cache
+        assert second.interpreter.parse_cache is broker.parse_cache
+
+    def test_repeated_text_parses_once(self, broker):
+        session = broker._open_session()
+        for __ in range(5):
+            assert session.run("2 * 21")["value"] == "42"
+        assert (misses(), hits()) == (1, 4)
+        assert len(broker.parse_cache) == 1
+        assert REGISTRY.gauges()["server.parse_cache.entries"] == 1.0
+
+    def test_parse_errors_are_reraised_and_never_cached(self, broker):
+        session = broker._open_session()
+        for __ in range(3):
+            with pytest.raises(ParseError):
+                session.run("let = ")
+        with pytest.raises(ParseError):
+            session.run("let = ", mode="type")
+        assert misses() == 4 and hits() == 0
+        assert len(broker.parse_cache) == 0
+
+    def test_lru_evicts_at_its_bound(self):
+        cache = ParseCache()
+        first = cache.parse("0")
+        for n in range(1, PARSE_CACHE_SIZE):
+            cache.parse(str(n))
+        assert len(cache) == PARSE_CACHE_SIZE
+        assert cache.parse("0") is first  # a hit, now most recently used
+        cache.parse(str(PARSE_CACHE_SIZE))  # one past the bound
+        assert len(cache) == PARSE_CACHE_SIZE
+        assert cache.parse("0") is first  # survived: it was touched
+        before = misses()
+        cache.parse("1")  # the least recently used entry was evicted
+        assert misses() == before + 1
+
+    def test_concurrent_parses_lose_no_count_or_entry(self):
+        # Random picks from a few more texts than the bound: most parses
+        # hit while misses keep evicting, so hits, evictions and inserts
+        # from eight threads interleave at a very short switch interval.
+        cache = ParseCache()
+        texts = ["%d + %d" % (n, n) for n in range(PARSE_CACHE_SIZE + 8)]
+        expected = {text: parse_program(text) for text in texts}
+        calls, threads_n = 4000, 8
+        failures = []
+
+        def hammer(seed):
+            rng = random.Random(seed)
+            try:
+                for __ in range(calls):
+                    text = rng.choice(texts)
+                    if cache.parse(text) != expected[text]:
+                        failures.append(text)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                failures.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(k,))
+                for k in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert hits() + misses() == threads_n * calls
+        assert len(cache) == PARSE_CACHE_SIZE
+        assert REGISTRY.gauges()["server.parse_cache.entries"] <= PARSE_CACHE_SIZE
+
+    def test_sessions_share_entries_not_bindings(self, broker):
+        first, second = broker._open_session(), broker._open_session()
+        first.run("let x = 1")
+        assert first.run("x + 1")["value"] == "2"
+        before = hits()
+        with pytest.raises(TypeCheckError):
+            second.run("x + 1")
+        assert hits() == before + 1  # second parsed nothing: a shared entry
+        with pytest.raises(TypeCheckError):
+            second.run("x + 1", mode="type")
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "let n = 4",
+            "n * n + 1",
+            "fun twice(k: Int): Int = k * 2; twice(n)",
+            '{Name = "J Doe", Age = 21} with {Dept = "Sales"}',
+            "[n, 2, 3]",
+        ],
+    )
+    def test_ast_and_type_replies_match_an_uncached_session(self, broker, source):
+        cached, plain = broker._open_session(), Session()
+        cached.run("let n = 4")
+        plain.run("let n = 4")
+        for mode in ("ast", "type"):
+            for __ in range(2):  # the second send is a cache hit
+                assert (
+                    cached.run(source, mode=mode)["value"]
+                    == plain.run(source, mode=mode)["value"]
+                )
+        assert hits() >= 3
 
 
 class TestIsolation:
