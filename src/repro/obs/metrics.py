@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from typing import Dict, List, Optional
 
 __all__ = [
@@ -189,16 +188,6 @@ class Histogram:
         fraction = position - lower
         return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
 
-    def time(self) -> "_HistogramTimer":
-        """A context manager observing the block's wall time in seconds.
-
-        The server's request loop wraps each dispatched frame in
-        ``histogram("server.request.seconds").time()`` — one line at the
-        call site, and failures still record (the observation lands on
-        ``__exit__`` whether or not the block raised).
-        """
-        return _HistogramTimer(self)
-
     def snapshot(self) -> Dict[str, object]:
         """A JSON-compatible summary of this histogram."""
         return {
@@ -217,23 +206,6 @@ class Histogram:
             self.count,
             self.mean,
         )
-
-
-class _HistogramTimer:
-    """The :meth:`Histogram.time` context manager."""
-
-    __slots__ = ("_histogram", "_started")
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-        self._started = 0.0
-
-    def __enter__(self) -> "_HistogramTimer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._histogram.observe(time.perf_counter() - self._started)
 
 
 class MetricsRegistry:

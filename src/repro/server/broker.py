@@ -31,7 +31,8 @@ done natively.  The broker owns three shared things:
 * the **parse cache**: one :class:`ParseCache` shared by every
   session's interpreter, so a source text sent again — by any session
   — skips the parser.  Checking still runs per request, against the
-  sending session's bindings.
+  sending session's bindings.  Each entry also keeps the text's last
+  run time, from which the server predicts whether it may run inline.
 
 Gauges ``server.sessions.active`` / ``server.sessions.limit`` /
 ``server.workers`` and the accepted/rejected counters feed the
@@ -73,6 +74,17 @@ def default_workers() -> int:
 __all__ = ["SessionBroker", "ParseCache", "PARSE_CACHE_SIZE"]
 
 
+class _Parsed:
+    """One parse-cache entry: the program and its last run (mode, time)."""
+
+    __slots__ = ("program", "mode", "seconds")
+
+    def __init__(self, program: _ast.Program):
+        self.program = program
+        self.mode: Optional[str] = None
+        self.seconds = 0.0
+
+
 class ParseCache:
     """A thread-safe LRU from DBPL source text to its parsed program.
 
@@ -82,10 +94,14 @@ class ParseCache:
     re-parsed (and re-reported) on every send.  A miss calls
     ``parse_program`` through :mod:`repro.lang.eval`, the same binding
     an :class:`~repro.lang.eval.Interpreter` without a cache uses.
+
+    Each entry also keeps the mode and duration of the text's last run
+    (:meth:`note_run`), which the server reads to predict whether a
+    request is short enough to run on its event loop.
     """
 
     def __init__(self):
-        self._entries: "OrderedDict[str, _ast.Program]" = OrderedDict()
+        self._entries: "OrderedDict[str, _Parsed]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -94,22 +110,39 @@ class ParseCache:
     def parse(self, source: str) -> _ast.Program:
         """The parsed ``source``, from the cache when it was seen."""
         with self._lock:
-            program = self._entries.get(source)
-            if program is not None:
+            entry = self._entries.get(source)
+            if entry is not None:
                 self._entries.move_to_end(source)
         registry = _metrics.REGISTRY
-        if program is not None:
+        if entry is not None:
             registry.counter("server.parse_cache.hits").inc()
-            return program
+            return entry.program
         registry.counter("server.parse_cache.misses").inc()
         program = _eval.parse_program(source)
         with self._lock:
-            self._entries[source] = program
+            self._entries[source] = _Parsed(program)
             if len(self._entries) > PARSE_CACHE_SIZE:
                 self._entries.popitem(last=False)
             entries = len(self._entries)
         registry.gauge("server.parse_cache.entries").set(float(entries))
         return program
+
+    def last_run(self, source: str, mode: str) -> Optional[float]:
+        """Seconds the last run of ``source`` took, or ``None`` when the
+        text is not cached or its last run was in another mode."""
+        with self._lock:
+            entry = self._entries.get(source)
+            if entry is None or entry.mode != mode:
+                return None
+            return entry.seconds
+
+    def note_run(self, source: str, mode: str, seconds: float) -> None:
+        """Record a run of a cached ``source``; an uncached one (a parse
+        error, or evicted meanwhile) is left alone."""
+        with self._lock:
+            entry = self._entries.get(source)
+            if entry is not None:
+                entry.mode, entry.seconds = mode, seconds
 
 
 class SessionBroker:

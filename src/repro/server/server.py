@@ -10,12 +10,12 @@
    slot, queues the connection, or bounces it with a ``busy`` error;
 3. **request loop** — ``run``, ``stat``, ``obs``, and the transaction
    frames ``begin``/``commit``/``abort`` are answered with
-   ``result``/``stat``/``obs``/``txn``/``error`` frames.  A short
-   request that cannot fsync runs inline on the event loop while the
-   broker's worker pool is idle; everything else runs on the pool, so
-   sessions still run concurrently under MVCC snapshot isolation (see
-   TRANSACTIONS.md) and no fsync ever blocks the loop (the rule is
-   spelled out in :meth:`DBPLServer._serve_session`);
+   ``result``/``stat``/``obs``/``txn``/``error`` frames.  A request
+   predicted short that cannot fsync runs inline on the event loop
+   while the broker's worker pool is idle; everything else runs on the
+   pool, so sessions still run concurrently under MVCC snapshot
+   isolation (see TRANSACTIONS.md) and no fsync ever blocks the loop
+   (the rule is spelled out in :meth:`DBPLServer._serve_session`);
    protocol violations get an ``error`` frame where the stream is
    still trustworthy, and the connection is dropped where it is not
    (oversized or truncated frames);
@@ -37,7 +37,7 @@ import asyncio
 import sys
 import threading
 import time
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.errors import (
     BrokerBusyError,
@@ -58,12 +58,6 @@ __all__ = ["DBPLServer", "ServerThread", "main"]
 SERVER_NAME = "repro-server/3"
 
 
-# Frames that never write to the store.  A ``run`` that may call
-# ``extern`` outside a transaction autocommits (one fsync), so it is
-# checked separately; ``stat`` and ``obs`` always take the pool.
-_NO_FSYNC_FRAMES = frozenset({"run", "begin", "abort"})
-
-
 class _Connection:
     """Per-connection bookkeeping for the drain logic and the routing."""
 
@@ -74,8 +68,9 @@ class _Connection:
         self.busy = False
         self.session: Optional[Session] = None
         # How long the session's previous request ran (None before its
-        # first), and whether any evaluated source has mentioned
-        # ``extern`` — after that a binding may call it under any name.
+        # first; set by _dispatch), and whether any evaluated source has
+        # mentioned ``extern`` — after that a binding may call it under
+        # any name.
         self.last_seconds: Optional[float] = None
         self.may_extern = False
 
@@ -279,24 +274,29 @@ class DBPLServer:
     async def _serve_session(self, reader, writer, connection, session) -> None:
         """Answer one session's frames until ``bye``, idle, or shutdown.
 
-        A request runs **inline** on the event loop when all of these
-        hold, and on the broker's worker pool otherwise:
+        A request runs **inline** on the event loop when it is predicted
+        to finish within :func:`sys.getswitchinterval` — the GIL's time
+        slice, about as long as a pooled request could hold the GIL
+        before the loop gets a turn — and cannot fsync.  Everything
+        else runs on the broker's worker pool.  The full rule is
+        :meth:`_runs_inline`:
 
         1. nothing is in flight on the pool (``broker.in_flight``), so
            an inline request never delays another session's reply and
            concurrent sessions keep overlapping on the pool;
-        2. the session's previous request ran for less than
-           :func:`sys.getswitchinterval` — the GIL's time slice, so an
-           inline request holds the loop about as long as a pooled one
-           would have held the GIL anyway.  A first request has no
-           previous one and takes the pool;
-        3. the frame cannot fsync: ``begin``, ``abort``, or a ``run``
-           that cannot autocommit an ``extern`` (see
-           :meth:`_runs_inline`).
+        2. the frame is a ``begin`` or an ``abort`` (constant time), or
+           a ``run`` that cannot autocommit an ``extern`` and whose
+           prediction holds: the *same text's* last run was in the same
+           mode and took less than the switch interval (its parse-cache
+           entry keeps both), and so did the session's previous request.
+           A new text always takes the pool.
 
-        Inline, a short request skips two thread hand-offs (the submit
-        to a worker and the worker waking the loop with the reply),
-        which on small requests cost more than the evaluation.
+        The prediction is a guess, not a bound: the same text can cost
+        more in another session or against a grown store.  Such a run
+        holds the loop once; its recorded time then sends the text to
+        the pool.  Inline, a short request skips two thread hand-offs
+        (the submit to a worker and the worker waking the loop with the
+        reply), which on small requests cost more than the evaluation.
         """
         while True:
             try:
@@ -339,19 +339,15 @@ class DBPLServer:
                     ),
                 )
                 continue
-            if self._runs_inline(connection, session, message):
+            if self._runs_inline(connection, message):
                 _metrics.REGISTRY.counter("server.dispatch.inline").inc()
-                reply, connection.last_seconds = self._timed_dispatch(
-                    session, message
-                )
+                reply = self._dispatch(connection, message)
             else:
                 _metrics.REGISTRY.counter("server.dispatch.pooled").inc()
                 connection.busy = True
                 try:
-                    reply, connection.last_seconds = (
-                        await self.broker.run_pooled(
-                            self._timed_dispatch, session, message
-                        )
+                    reply = await self.broker.run_pooled(
+                        self._dispatch, connection, message
                     )
                 finally:
                     connection.busy = False
@@ -362,113 +358,134 @@ class DBPLServer:
                 return
 
     def _runs_inline(
-        self, connection: _Connection, session: Session, message: Dict[str, object]
+        self, connection: _Connection, message: Dict[str, object]
     ) -> bool:
         """The routing rule of :meth:`_serve_session` for ``message``."""
         frame_type = message["type"]
-        if frame_type not in _NO_FSYNC_FRAMES:
-            return False
-        if frame_type == "run" and message.get("mode", "eval") == "eval":
-            source = message.get("source")
-            if isinstance(source, str) and "extern" in source:
-                connection.may_extern = True
+        source = message.get("source")
+        mode = message.get("mode", "eval")
+        if frame_type == "run" and mode == "eval" and isinstance(source, str):
             # Inside a transaction an extern only buffers; outside one it
-            # autocommits.  Textual and sticky, so it errs towards the
-            # pool: a false positive costs only the hop.
-            if connection.may_extern and session.interpreter.transaction is None:
+            # autocommits (one fsync).  Textual and sticky, so it errs
+            # towards the pool: a false positive costs only the hop.
+            if "extern" in source:
+                connection.may_extern = True
+            if (
+                connection.may_extern
+                and connection.session.interpreter.transaction is None
+            ):
                 return False
+        if self.broker.in_flight:
+            return False
+        if frame_type in ("begin", "abort"):
+            return True
+        if not (
+            frame_type == "run"
+            and isinstance(source, str)
+            and isinstance(mode, str)
+        ):
+            return False  # commit fsyncs; stat and obs are not predicted
+        threshold = sys.getswitchinterval()
         last = connection.last_seconds
-        return (
-            self.broker.in_flight == 0
-            and last is not None
-            and last < sys.getswitchinterval()
-        )
-
-    def _timed_dispatch(
-        self, session: Session, message: Dict[str, object]
-    ) -> Tuple[Dict[str, object], float]:
-        """:meth:`_dispatch` plus how long it ran, in seconds."""
-        started = time.perf_counter()
-        reply = self._dispatch(session, message)
-        return reply, time.perf_counter() - started
+        if last is None or last >= threshold:
+            return False
+        seconds = self.broker.parse_cache.last_run(source, mode)
+        return seconds is not None and seconds < threshold
 
     def _dispatch(
-        self, session: Session, message: Dict[str, object]
+        self, connection: _Connection, message: Dict[str, object]
     ) -> Dict[str, object]:
-        """Execute one request (inline on the loop or on a worker)."""
+        """Execute one request (inline on the loop or on a worker).
+
+        How long it ran feeds ``server.request.seconds`` and the two
+        predictions :meth:`_runs_inline` reads: the session's
+        ``last_seconds`` and, for a ``run``, its text's cache entry.
+        """
+        session = connection.session
         frame_id = message.get("id")
         _metrics.REGISTRY.counter("server.requests").inc()
-        with _metrics.REGISTRY.histogram("server.request.seconds").time():
-            try:
-                if message["type"] == "run":
-                    source = message.get("source")
-                    if not isinstance(source, str):
-                        raise ProtocolError("run frame needs a string source")
-                    mode = message.get("mode", "eval")
-                    if not isinstance(mode, str):
-                        raise ProtocolError("run mode must be a string")
-                    # Protocol 2 clients propagate their trace context;
-                    # a missing/old-style frame leaves request_id None
-                    # and the session mints its own.
-                    context = message.get("trace")
-                    request_id = (
-                        context.get("request_id")
-                        if isinstance(context, dict)
-                        else None
-                    )
-                    if request_id is not None and not isinstance(
-                        request_id, str
-                    ):
-                        raise ProtocolError(
-                            "trace request_id must be a string"
-                        )
-                    result = session.run(
-                        source, mode=mode, request_id=request_id
-                    )
-                    reply: Dict[str, object] = {"type": "result"}
-                    reply.update(result)
-                elif message["type"] in ("begin", "commit", "abort"):
-                    action = message["type"]
-                    result = getattr(session, action)()
-                    reply = {"type": "txn", "action": action}
-                    reply.update(result)
-                elif message["type"] == "obs":
-                    what = message.get("what")
-                    if not isinstance(what, str):
-                        raise ProtocolError("obs frame needs a string what")
-                    args = message.get("args") or {}
-                    if not isinstance(args, dict):
-                        raise ProtocolError("obs args must be an object")
-                    result = session.obs(what, **args)
-                    reply = {"type": "obs", "what": what}
-                    reply.update(result)
-                else:
-                    kind = message.get("kind")
-                    if not isinstance(kind, str):
-                        raise ProtocolError("stat frame needs a string kind")
-                    args = message.get("args") or {}
-                    if not isinstance(args, dict):
-                        raise ProtocolError("stat args must be an object")
-                    result = session.stat(kind, **args)
-                    reply = {"type": "stat", "kind": kind}
-                    reply.update(result)
-            except ReproError as exc:
-                _metrics.REGISTRY.counter("server.request_errors").inc()
-                reply = protocol.error_frame(
-                    str(exc), kind=type(exc).__name__
+        started = time.perf_counter()
+        try:
+            if message["type"] == "run":
+                source = message.get("source")
+                if not isinstance(source, str):
+                    raise ProtocolError("run frame needs a string source")
+                mode = message.get("mode", "eval")
+                if not isinstance(mode, str):
+                    raise ProtocolError("run mode must be a string")
+                # Protocol 2 clients propagate their trace context;
+                # a missing/old-style frame leaves request_id None
+                # and the session mints its own.
+                context = message.get("trace")
+                request_id = (
+                    context.get("request_id")
+                    if isinstance(context, dict)
+                    else None
                 )
-                if isinstance(exc, TransactionConflictError):
-                    # Carry the conflict detail so remote retry loops
-                    # can see which handles were contested and by whom.
-                    reply["conflict"] = {
-                        "keys": list(exc.keys),
-                        "winner_epoch": exc.winner_epoch,
-                    }
-            except Exception as exc:  # noqa: BLE001 — a reply, not a crash
-                _metrics.REGISTRY.counter("server.request_errors").inc()
-                reply = protocol.error_frame(
-                    "internal error: %s" % exc, kind="internal"
+                if request_id is not None and not isinstance(
+                    request_id, str
+                ):
+                    raise ProtocolError(
+                        "trace request_id must be a string"
+                    )
+                result = session.run(
+                    source, mode=mode, request_id=request_id
                 )
+                reply: Dict[str, object] = {"type": "result"}
+                reply.update(result)
+            elif message["type"] in ("begin", "commit", "abort"):
+                action = message["type"]
+                result = getattr(session, action)()
+                reply = {"type": "txn", "action": action}
+                reply.update(result)
+            elif message["type"] == "obs":
+                what = message.get("what")
+                if not isinstance(what, str):
+                    raise ProtocolError("obs frame needs a string what")
+                args = message.get("args") or {}
+                if not isinstance(args, dict):
+                    raise ProtocolError("obs args must be an object")
+                result = session.obs(what, **args)
+                reply = {"type": "obs", "what": what}
+                reply.update(result)
+            else:
+                kind = message.get("kind")
+                if not isinstance(kind, str):
+                    raise ProtocolError("stat frame needs a string kind")
+                args = message.get("args") or {}
+                if not isinstance(args, dict):
+                    raise ProtocolError("stat args must be an object")
+                result = session.stat(kind, **args)
+                reply = {"type": "stat", "kind": kind}
+                reply.update(result)
+        except ReproError as exc:
+            _metrics.REGISTRY.counter("server.request_errors").inc()
+            reply = protocol.error_frame(
+                str(exc), kind=type(exc).__name__
+            )
+            if isinstance(exc, TransactionConflictError):
+                # Carry the conflict detail so remote retry loops
+                # can see which handles were contested and by whom.
+                reply["conflict"] = {
+                    "keys": list(exc.keys),
+                    "winner_epoch": exc.winner_epoch,
+                }
+        except Exception as exc:  # noqa: BLE001 — a reply, not a crash
+            _metrics.REGISTRY.counter("server.request_errors").inc()
+            reply = protocol.error_frame(
+                "internal error: %s" % exc, kind="internal"
+            )
+        seconds = time.perf_counter() - started
+        _metrics.REGISTRY.histogram("server.request.seconds").observe(seconds)
+        connection.last_seconds = seconds
+        source = message.get("source")
+        mode = message.get("mode", "eval")
+        if (
+            message["type"] == "run"
+            and isinstance(source, str)
+            and isinstance(mode, str)
+        ):
+            self.broker.parse_cache.note_run(source, mode, seconds)
         if frame_id is not None:
             reply["id"] = frame_id
         return reply

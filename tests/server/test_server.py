@@ -254,7 +254,7 @@ class TestRouting:
                 for __ in range(20):
                     assert client.run("1 + 1")["value"] == "2"
         threads = threads_of(seen, "1 + 1")
-        # A first request has no previous duration: it takes the pool.
+        # A new text has no recorded run time: it takes the pool.
         assert threads[0].startswith(POOL_PREFIX)
         assert LOOP_THREAD in threads[1:]
         assert REGISTRY.counter("server.dispatch.inline").value >= 1
@@ -291,16 +291,65 @@ class TestRouting:
         # The call's text never says extern, but it autocommits one.
         assert all(t.startswith(POOL_PREFIX) for t in threads_of(seen, "save(3)"))
 
+    def test_new_text_takes_the_pool(self):
+        factory, seen = spy_factory()
+        with ServerThread(session_factory=factory) as server:
+            with Client(server.host, server.port) as client:
+                for __ in range(5):
+                    client.run("1 + 1")
+                for __ in range(5):
+                    client.run("2 + 2")
+        threads = threads_of(seen, "2 + 2")
+        assert threads[0].startswith(POOL_PREFIX)
+        assert LOOP_THREAD in threads[1:]
+
     def test_request_after_a_long_one_takes_the_pool(self):
         factory, seen = spy_factory(
             slow_source="0 + 0", delay=2 * sys.getswitchinterval()
         )
         with ServerThread(session_factory=factory) as server:
             with Client(server.host, server.port) as client:
-                client.run("1")
-                client.run("0 + 0")
                 client.run("2 + 2")
-        assert threads_of(seen, "2 + 2")[0].startswith(POOL_PREFIX)
+                client.run("2 + 2")
+                client.run("0 + 0")
+                client.run("2 + 2")  # a known short text, after a long run
+        assert threads_of(seen, "2 + 2")[2].startswith(POOL_PREFIX)
+
+    def test_text_whose_last_run_was_long_takes_the_pool(self):
+        factory, seen = spy_factory(
+            slow_source="0 + 0", delay=2 * sys.getswitchinterval()
+        )
+        with ServerThread(session_factory=factory) as server:
+            with Client(server.host, server.port) as client:
+                for __ in range(3):
+                    client.run("0 + 0")
+                    for __ in range(3):  # the session's last run is short
+                        client.run("1 + 1")
+        assert all(t.startswith(POOL_PREFIX) for t in threads_of(seen, "0 + 0"))
+        assert LOOP_THREAD in threads_of(seen, "1 + 1")
+
+    def test_long_run_after_short_ones_leaves_the_loop_free(self):
+        # A session's short requests say nothing about its next text: a
+        # new, long one runs on the pool, and another session is
+        # answered while it runs.
+        started = threading.Event()
+        factory, seen = spy_factory(slow_source="0 + 0", delay=0.5, started=started)
+        with ServerThread(session_factory=factory, workers=2) as server:
+            with Client(server.host, server.port) as slow, Client(
+                server.host, server.port
+            ) as quick:
+                for __ in range(3):
+                    slow.run("1 + 1")
+                    quick.run("1 + 1")
+                assert LOOP_THREAD in threads_of(seen, "1 + 1")
+                worker = threading.Thread(target=slow.run, args=("0 + 0",))
+                worker.start()
+                assert started.wait(5.0)
+                assert quick.run("3 + 3")["value"] == "6"
+                answered_during_the_long_run = worker.is_alive()
+                worker.join(5.0)
+        assert answered_during_the_long_run
+        assert threads_of(seen, "0 + 0")[0].startswith(POOL_PREFIX)
 
     def test_short_request_takes_the_pool_while_it_is_busy(self):
         started = threading.Event()

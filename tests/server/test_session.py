@@ -1,13 +1,8 @@
 """Sessions: run modes, the stat surface, and isolation over shared state."""
 
-import random
-import sys
-import threading
-
 import pytest
 
 from repro.errors import EvalError, ParseError, SessionClosedError, TypeCheckError
-from repro.lang.parser import parse_program
 from repro.obs import events, monitor, slowlog, trace
 from repro.obs.metrics import REGISTRY, reset_metrics
 from repro.persistence.store import LogStore
@@ -142,44 +137,22 @@ class TestParseCache:
         cache.parse("1")  # the least recently used entry was evicted
         assert misses() == before + 1
 
-    def test_concurrent_parses_lose_no_count_or_entry(self):
-        # Random picks from a few more texts than the bound: most parses
-        # hit while misses keep evicting, so hits, evictions and inserts
-        # from eight threads interleave at a very short switch interval.
+    def test_entries_keep_the_last_run_and_its_mode(self):
         cache = ParseCache()
-        texts = ["%d + %d" % (n, n) for n in range(PARSE_CACHE_SIZE + 8)]
-        expected = {text: parse_program(text) for text in texts}
-        calls, threads_n = 4000, 8
-        failures = []
-
-        def hammer(seed):
-            rng = random.Random(seed)
-            try:
-                for __ in range(calls):
-                    text = rng.choice(texts)
-                    if cache.parse(text) != expected[text]:
-                        failures.append(text)
-            except Exception as exc:  # noqa: BLE001 — reported below
-                failures.append(exc)
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=hammer, args=(k,))
-                for k in range(threads_n)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
-        assert hits() + misses() == threads_n * calls
-        assert len(cache) == PARSE_CACHE_SIZE
-        assert REGISTRY.gauges()["server.parse_cache.entries"] <= PARSE_CACHE_SIZE
+        assert cache.last_run("1 + 1", "eval") is None  # never parsed
+        cache.note_run("1 + 1", "eval", 0.5)  # not cached: ignored
+        cache.parse("1 + 1")
+        assert cache.last_run("1 + 1", "eval") is None  # never ran
+        cache.note_run("1 + 1", "eval", 0.5)
+        cache.note_run("1 + 1", "eval", 0.001)
+        assert cache.last_run("1 + 1", "eval") == 0.001
+        assert cache.last_run("1 + 1", "type") is None
+        cache.note_run("1 + 1", "type", 0.25)
+        assert cache.last_run("1 + 1", "type") == 0.25
+        assert cache.last_run("1 + 1", "eval") is None  # another mode
+        for n in range(PARSE_CACHE_SIZE):  # evict it, timings and all
+            cache.parse(str(n))
+        assert cache.last_run("1 + 1", "eval") is None
 
     def test_sessions_share_entries_not_bindings(self, broker):
         first, second = broker._open_session(), broker._open_session()
